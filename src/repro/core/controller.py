@@ -86,7 +86,8 @@ class DominoController:
         from ..topology.propagation import matrix_rss_fn
         self.rss_matrix = topology.trace.rss_dbm.copy()
         self.imap = InterferenceMap(matrix_rss_fn(self.rss_matrix),
-                                    topology.profile, margin_db=3.0)
+                                    topology.profile, margin_db=3.0,
+                                    n_nodes=len(self.rss_matrix))
 
         # Link universe: the flows plus every association direction
         # (fake-link candidates).  Flows first so the scheduler's
@@ -97,8 +98,7 @@ class DominoController:
                 universe.append(link)
         self.links = universe
         self.graph = build_conflict_graph(self.imap, universe)
-        self.scheduler = RandScheduler(self.graph, universe,
-                                       set_check=self.imap.set_survives)
+        self.scheduler = RandScheduler(self.graph, universe, imap=self.imap)
         if self.config.energy_constrained:
             # Sleeping clients must not be woken by fake filler.
             self.config.converter.fake_exclude_nodes = frozenset(
@@ -410,10 +410,11 @@ class DominoController:
 
         updated = store.apply_to_matrix(self.rss_matrix)
         self.imap = InterferenceMap(matrix_rss_fn(self.rss_matrix),
-                                    self.topology.profile, margin_db=3.0)
+                                    self.topology.profile, margin_db=3.0,
+                                    n_nodes=len(self.rss_matrix))
         self.graph = build_conflict_graph(self.imap, self.links)
         self.scheduler = RandScheduler(self.graph, self.links,
-                                       set_check=self.imap.set_survives)
+                                       imap=self.imap)
         self.conversion_cache.set_topology(conversion_topology_key(
             self.rss_matrix, self.links, self.config.converter))
         rebuilt = ScheduleConverter(

@@ -12,15 +12,13 @@ Fig. 7(c) / Fig. 10.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
 
+from ..topology.interference_map import InterferenceMap
 from ..topology.links import Link
 from .strict_schedule import StrictSchedule
-
-#: Additive-interference test over one slot's worth of links.
-SetCheck = Callable[[Sequence[Link]], bool]
 
 
 class RandScheduler:
@@ -32,17 +30,18 @@ class RandScheduler:
         Link conflict graph; an edge forbids slot sharing.
     links:
         The link universe in initial queue order (deterministic).
+    imap:
+        Optional interference map for the additive-interference test
+        over a whole slot; pairwise compatibility is necessary but not
+        sufficient when several interferers add up at one receiver.
     """
 
     def __init__(self, conflict_graph: "nx.Graph[Link]",
                  links: Sequence[Link],
-                 set_check: Optional[SetCheck] = None):
+                 imap: Optional[InterferenceMap] = None):
         self.graph = conflict_graph
         self._queue: List[Link] = list(links)
-        #: Optional additive-interference test over a whole slot;
-        #: pairwise compatibility is necessary but not sufficient when
-        #: several interferers add up at one receiver.
-        self.set_check = set_check
+        self.imap = imap
         missing = [l for l in self._queue if l not in conflict_graph]
         if missing:
             raise ValueError(f"links missing from conflict graph: {missing}")
@@ -79,13 +78,17 @@ class RandScheduler:
     def _build_slot(self, demands: Dict[Link, int]) -> List[Link]:
         """One greedy maximal set of backlogged links, in queue order."""
         slot: List[Link] = []
+        sinr = self.imap.slot() if self.imap is not None else None
+        adj = self.graph._adj  # the plain dict-of-dicts behind graph.adj
         for link in self._queue:
             if demands.get(link, 0) <= 0:
                 continue
-            if any(self.graph.has_edge(link, chosen) for chosen in slot):
+            if not adj[link].keys().isdisjoint(slot):
                 continue
-            if self.set_check is not None and not self.set_check([*slot, link]):
-                continue
+            if sinr is not None:
+                if not sinr.fits(link):
+                    continue
+                sinr.add(link)
             slot.append(link)
         return slot
 

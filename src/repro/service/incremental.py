@@ -5,10 +5,10 @@ interference map, conflict graph, fairness scheduler, converter and
 conversion cache — and keeps all of it consistent under a stream of
 state deltas without rebuilding from scratch:
 
-* RSS changes at node *n* purge trigger verdicts touching *n* and
-  re-test only conflict-graph edges incident to *n*'s links (the
-  conflict test's read-set is confined to the two links' endpoints,
-  so nothing else can flip);
+* RSS changes at node *n* re-read *n*'s rows and columns of the
+  interference map's tables and re-test only conflict-graph edges
+  incident to *n*'s links (the conflict test's read-set is confined
+  to the two links' endpoints, so nothing else can flip);
 * membership changes splice links in and out of the graph, the
   fairness queue, the retained connector and the fake-candidate
   order;
@@ -76,7 +76,8 @@ class AppliedDelta:
     cache_kept: int = 0
     cache_evicted: int = 0
     connector_purged: int = 0
-    trigger_purged: int = 0
+    #: Interference-map rows plus columns re-read (two per dirty node).
+    tables_refreshed: int = 0
     #: Wall-clock phase durations in microseconds (phase timing only):
     #: ``membership_us`` / ``conflict_us`` / ``cache_us``.
     phases: Optional[Dict[str, float]] = None
@@ -94,10 +95,10 @@ class IncrementalController:
         self.state = state
         self.config = config if config is not None else ServiceConfig()
         self.imap = InterferenceMap(matrix_rss_fn(state.rss), state.profile,
-                                    margin_db=3.0)
+                                    margin_db=3.0, n_nodes=state.n_nodes)
         self.graph = build_conflict_graph(self.imap, state.links)
         self.scheduler = RandScheduler(self.graph, state.links,
-                                       set_check=self.imap.set_survives)
+                                       imap=self.imap)
         self.cache = ConversionCache(self._topology_key())
         self.converter = ScheduleConverter(
             self.imap, self.graph, fake_candidates=list(state.links),
@@ -131,9 +132,9 @@ class IncrementalController:
 
         t0 = perf_counter() if timing else 0.0
 
-        # 1. Trigger-verdict cache: purge everything touching a moved
-        #    or (dis)appeared node.
-        applied.trigger_purged = self.imap.invalidate_nodes(
+        # 1. Interference-map tables: re-read the rows and columns of
+        #    every moved or (dis)appeared node.
+        applied.tables_refreshed = self.imap.invalidate_nodes(
             delta.dirty_nodes)
 
         # 2. Membership: graph vertices, fairness queue, connector.
@@ -228,10 +229,9 @@ class IncrementalController:
         """
         state = self.state
         imap = InterferenceMap(matrix_rss_fn(state.rss), state.profile,
-                               margin_db=3.0)
+                               margin_db=3.0, n_nodes=state.n_nodes)
         graph = build_conflict_graph(imap, state.links)
-        scheduler = RandScheduler(graph, self.scheduler.queue,
-                                  set_check=imap.set_survives)
+        scheduler = RandScheduler(graph, self.scheduler.queue, imap=imap)
         converter = self.converter.fork_preview(
             imap, graph, fake_candidates=list(state.links))
         self.full_recomputes += 1

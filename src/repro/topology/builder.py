@@ -61,7 +61,8 @@ class Topology:
 
     def interference_map(self, margin_db: float = 3.0) -> InterferenceMap:
         return InterferenceMap(self.trace.rss_fn(), self.profile,
-                               margin_db=margin_db)
+                               margin_db=margin_db,
+                               n_nodes=self.trace.n_nodes)
 
     def build_medium(self, sim: Simulator) -> Medium:
         # The engine picks its medium implementation (event vs matrix

@@ -27,7 +27,10 @@ class Link(NamedTuple):
         return Link(self.dst, self.src)
 
     def shares_node(self, other: "Link") -> bool:
-        return bool({self.src, self.dst} & {other.src, other.dst})
+        src, dst = self
+        other_src, other_dst = other
+        return (src == other_src or src == other_dst
+                or dst == other_src or dst == other_dst)
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"

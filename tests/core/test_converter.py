@@ -112,8 +112,8 @@ class TestTriggerAssignment:
         # no over-the-air trigger can reach anyone.
         converter, imap, graph, universe = make_converter(
             topology, ConverterConfig(insert_fakes=False))
-        imap._trigger_cache.clear()
-        imap.node_can_trigger = lambda src, dst: False
+        for row in imap.trigger:
+            row[:] = [False] * len(row)
         strict = StrictSchedule()
         strict.append([Link(0, 1)])
         strict.append([Link(4, 5)])  # AP3 unreachable from slot 0

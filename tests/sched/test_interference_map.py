@@ -10,7 +10,8 @@ from repro.topology.trace import manual_trace
 
 def make_imap(pairs, n=6, margin=3.0):
     trace = manual_trace(n, pairs)
-    return InterferenceMap(trace.rss_fn(), DOT11G, margin_db=margin)
+    return InterferenceMap(trace.rss_fn(), DOT11G, margin_db=margin,
+                           n_nodes=trace.n_nodes)
 
 
 def test_shared_node_always_conflicts():

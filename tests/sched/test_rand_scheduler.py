@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sched.rand_scheduler import RandScheduler
+from repro.sim.phy import DOT11G
+from repro.topology.conflict_graph import build_conflict_graph
+from repro.topology.interference_map import InterferenceMap
 from repro.topology.links import Link
+from repro.topology.trace import manual_trace
 
 
 def chain_graph(n):
@@ -76,15 +80,23 @@ def test_max_slots_respected():
 
 
 def test_set_check_blocks_additive_sets():
-    links, graph = chain_graph(5)  # 0 and 2 and 4 pairwise independent
-
-    def no_triples(slot):
-        return len(slot) <= 2
-
-    scheduler = RandScheduler(graph, links, set_check=no_triples)
+    """Pairwise-independent links whose interference adds up at one
+    receiver never share a slot when the scheduler has the map."""
+    pairs = {
+        (0, 1): -62.0,             # marginal victim link
+        (2, 3): -50.0, (4, 5): -50.0,
+        (2, 1): -74.5, (4, 1): -74.5,  # tolerable alone, not together
+    }
+    trace = manual_trace(6, pairs)
+    imap = InterferenceMap(trace.rss_fn(), DOT11G, n_nodes=trace.n_nodes)
+    links = [Link(0, 1), Link(2, 3), Link(4, 5)]
+    graph = build_conflict_graph(imap, links)
+    assert graph.number_of_edges() == 0
+    scheduler = RandScheduler(graph, links, imap=imap)
     schedule = scheduler.schedule_batch({l: 1 for l in links}, max_slots=10)
     for slot in schedule:
         assert len(slot) <= 2
+    assert len(schedule) == 2
 
 
 def test_unknown_link_rejected():
