@@ -58,8 +58,9 @@ def batch_digest(batch: RelativeBatch) -> str:
         "rop_polls": rop_polls,
         "untriggerable": untriggerable,
     }
-    payload = json.dumps(canonical, sort_keys=True,
-                         separators=(",", ":")).encode()
+    # Plain nested lists, no cycles: skip json's circularity bookkeeping.
+    payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"),
+                         check_circular=False).encode()
     return hashlib.sha256(payload).hexdigest()
 
 

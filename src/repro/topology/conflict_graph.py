@@ -77,6 +77,10 @@ def update_conflict_graph(graph: nx.Graph, imap: "InterferenceMap",
     dirty = [link for link in dict.fromkeys(dirty_links)]
     dirty_set = set(dirty)
     for dl in dirty:
+        # ``conflicts(dl, other)`` is ``not slot((dl,)).fits(other)``;
+        # build the one-link slot once per dirty link.
+        alone = imap.slot((dl,))
+        neighbours = graph._adj[dl]  # live: edits below show up here
         for other in links:
             if other == dl:
                 continue
@@ -84,15 +88,16 @@ def update_conflict_graph(graph: nx.Graph, imap: "InterferenceMap",
             if other in dirty_set and other < dl:
                 continue
             delta.checked += 1
-            conflicting = imap.conflicts(dl, other)
-            if conflicting and not graph.has_edge(dl, other):
+            conflicting = not alone.fits(other)
+            if conflicting == (other in neighbours):
+                continue
+            if conflicting:
                 graph.add_edge(dl, other)
                 delta.added += 1
-                delta.pairs.append((dl, other))
-            elif not conflicting and graph.has_edge(dl, other):
+            else:
                 graph.remove_edge(dl, other)
                 delta.removed += 1
-                delta.pairs.append((dl, other))
+            delta.pairs.append((dl, other))
     return delta
 
 
