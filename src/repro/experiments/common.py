@@ -176,8 +176,8 @@ def run_scheme(scheme: str, topology: Topology, *,
 
     ``engine`` selects the simulation backend: ``"event"`` (the
     reference heap engine) or ``"matrix"`` (the vectorized backend —
-    byte-identical traces, ~1.5-2.5x faster on dense topologies,
-    growing with station count).  None means the process-wide default
+    byte-identical traces; faster from about T(40,3) up, slower on
+    small topologies).  None means the process-wide default
     (:func:`default_engine`).  See DESIGN.md, "Engine backends".
     """
     if scheme not in SCHEMES:

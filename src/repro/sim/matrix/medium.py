@@ -12,19 +12,20 @@ Python, because their order is observable.
 Byte-identical equivalence with the reference engine is an argument
 about floats, not about intent; the load-bearing facts:
 
-* A radio's incoming total in the reference engine is
-  ``sum(rec.rss_mw for rec in dict)`` — a left-to-right fold from 0.0
-  in insertion (= transmission start) order.  Here ``_totals`` is
-  appended to with ``+=`` at start edges (the same fold extended one
-  term) and rebuilt at end edges by an **explicit row loop** in start
-  order — never ``ndarray.sum(axis=0)``, whose pairwise summation may
-  associate differently.  Rows a receiver cannot hear contribute 0.0,
-  and ``x + 0.0 == x`` bit-exactly for the non-negative powers used
-  here, so folding over all rows equals folding over the audible
-  subset.
+* A radio's incoming total in the reference engine is a left-to-right
+  fold from 0.0 over its reception dict in insertion (= transmission
+  start) order: extended by one ``+`` at a start edge and re-folded by
+  an explicit loop at an end edge (never builtin ``sum()``, which
+  compensates rounding from Python 3.12).  Here ``_totals`` follows
+  the same two rules: ``+=`` at start edges and an **explicit row
+  loop** in start order at end edges — never ``ndarray.sum(axis=0)``,
+  whose pairwise summation may associate differently.  Rows a
+  receiver cannot hear contribute 0.0, and ``x + 0.0 == x``
+  bit-exactly for the non-negative powers used here, so folding over
+  all rows equals folding over the audible subset.
 * Worst-case interference (``total - rss``) can only grow at a start
-  edge: at an end edge every total shrinks, so the reference engine's
-  refresh is provably a no-op there and is skipped entirely.  The same
+  edge: at an end edge every total shrinks, so both engines skip the
+  refresh there (DESIGN.md, "Engine backends").  The same
   monotonicity holds for trigger signature-overlap counts, which are
   refreshed only at TRIGGER start edges.
 * Trigger overlap counts compare burst powers against a 10 dB floor
@@ -83,7 +84,8 @@ from ... import telemetry
 from ..engine import SimulationError, Simulator
 from ..medium import Medium, Transmission
 from ..packet import Frame, FrameKind
-from ..phy import dbm_to_mw, mw_to_dbm
+from ..phy import dbm_to_mw
+from ..radio import min_sinr_db
 from .radio import MatrixRadio
 
 #: Fan-out entry: (radio, rss_dbm, rss_mw, column).  The floats are
@@ -288,11 +290,7 @@ class MatrixMedium(Medium):
         np.greater(self._sleep, sim.now, out=self._INT[k])
         self._INT[k] |= self._own_col
         self._OVB[k] = 0
-        if frame.kind is FrameKind.TRIGGER:
-            nsig = max(1, len(frame.trigger_targets())
-                       + len(frame.meta.get("rop_polls", ())))
-        else:
-            nsig = 0
+        nsig = tx.n_signatures
         self._nsig.append(nsig)
         self._row_txs.append(tx)
         self._row_of[tx.uid] = k
@@ -311,7 +309,7 @@ class MatrixMedium(Medium):
         radio_by_col = self._radio_by_col
         self._in_edge = True
         try:
-            if frame.kind not in (FrameKind.TRIGGER, FrameKind.QUEUE_REPORT):
+            if tx.lockable:
                 # Lock attempt before carrier-sense edge, per radio, in
                 # column order — the reference on_energy_start order.
                 j = 0
@@ -407,7 +405,7 @@ class MatrixMedium(Medium):
             # order — the reference on_energy_end order.
             j = 0
             nc = len(chg)
-            if kind in (FrameKind.TRIGGER, FrameKind.QUEUE_REPORT):
+            if not tx.lockable:
                 # Correlation-path dispatch genuinely reaches every
                 # non-interrupted receiver: walk the full reach.
                 for radio, rss_dbm, rss_mw, col in reach:
@@ -425,7 +423,8 @@ class MatrixMedium(Medium):
                         continue
                     if kind is FrameKind.TRIGGER:
                         mac.on_trigger(frame,
-                                       self._min_sinr(rss_mw, maxi_row[col]),
+                                       min_sinr_db(rss_mw, maxi_row[col],
+                                                   self._noise_mw),
                                        rss_dbm, int(ovb_row[col]))
                     else:
                         mac.on_queue_report(frame, rss_dbm)
@@ -452,15 +451,6 @@ class MatrixMedium(Medium):
         src_radio = self._radios.get(tx.src)
         if src_radio is not None:
             src_radio.on_own_tx_end(tx)
-
-    def _min_sinr(self, rss_mw: float, max_interference_mw: float) -> float:
-        """Minimum SINR over the airtime, finalised at delivery from
-        the tracked worst-case interference (log10 is monotone), with
-        the reference engine's exact formula."""
-        if max_interference_mw < 0.0:
-            return float("inf")
-        return mw_to_dbm(rss_mw) - mw_to_dbm(
-            max_interference_mw + self._noise_mw)
 
     # ------------------------------------------------------------------
     # Radio-facing state (see MatrixRadio)

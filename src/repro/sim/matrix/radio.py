@@ -21,8 +21,8 @@ from typing import Optional, Tuple, TYPE_CHECKING
 
 from ..medium import Transmission
 from ..packet import Frame
-from ..phy import dbm_to_mw, mw_to_dbm
-from ..radio import Radio
+from ..phy import dbm_to_mw
+from ..radio import Radio, min_sinr_db
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .medium import MatrixMedium
@@ -190,13 +190,9 @@ class MatrixRadio(Radio):
             return
         self._mx_lock = None
         frame = tx.frame
-        if max_interference_mw >= 0.0:
-            min_sinr_db = mw_to_dbm(rss_mw) - mw_to_dbm(
-                max_interference_mw + self._noise_mw)
-        else:
-            min_sinr_db = float("inf")
         threshold = self.profile.frame_sinr_threshold_db(frame)
-        ok = (not interrupted) and min_sinr_db >= threshold
+        ok = (not interrupted) and min_sinr_db(
+            rss_mw, max_interference_mw, self._noise_mw) >= threshold
         tel = self._trace
         if tel.enabled:
             now = self._mx_med.sim.now

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import telemetry
 from .engine import Simulator
-from .packet import Frame
+from .packet import Frame, FrameKind
 from .phy import PhyProfile, dbm_to_mw
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,6 +40,24 @@ class Transmission:
     end: float
     tx_power_dbm: float
     uid: int = field(default_factory=lambda: next(_tx_ids))
+    #: Signature waveforms a TRIGGER combines (its targets plus its ROP
+    #: polls, at least one); 0 for every other kind.  Both media and
+    #: the trigger-overlap accounting read it from here.
+    n_signatures: int = field(init=False)
+    #: Whether a receiver may lock onto the frame.  TRIGGER and
+    #: QUEUE_REPORT frames ride the correlator path instead.
+    lockable: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        frame = self.frame
+        kind = frame.kind
+        if kind is FrameKind.TRIGGER:
+            self.n_signatures = max(1, len(frame.trigger_targets())
+                                    + len(frame.meta.get("rop_polls", ())))
+        else:
+            self.n_signatures = 0
+        self.lockable = (kind is not FrameKind.TRIGGER
+                         and kind is not FrameKind.QUEUE_REPORT)
 
     @property
     def airtime_us(self) -> float:

@@ -26,6 +26,13 @@ from the medium) and the MAC.  It implements:
   the MAC's calibrated models.
 
 Half duplex: a transmitting radio hears nothing, including triggers.
+
+The bookkeeping does only the work a MAC can observe (DESIGN.md,
+"Engine backends"): the incoming total is kept as an exact
+left-to-right fold in arrival order, worst-case interference and
+signature overlap are refreshed only at start edges and only for the
+receptions that can still be delivered, and the minimum SINR is
+finalised only for a delivered frame.
 """
 
 from __future__ import annotations
@@ -42,6 +49,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..mac.base import Mac
 
 
+def min_sinr_db(rss_mw: float, max_interference_mw: float,
+                noise_mw: float) -> float:
+    """Finalise a delivered frame's minimum SINR over its airtime from
+    the worst-case interference tracked for it (see
+    ``Reception.max_interference_mw``; negative means never refreshed).
+    Both media deliver through this one definition."""
+    if max_interference_mw < 0.0:
+        return float("inf")
+    return mw_to_dbm(rss_mw) - mw_to_dbm(max_interference_mw + noise_mw)
+
+
 @dataclass
 class Reception:
     """Book-keeping for one frame being tracked at this radio."""
@@ -49,7 +67,6 @@ class Reception:
     tx: Transmission
     rss_dbm: float
     rss_mw: float
-    min_sinr_db: float = float("inf")
     # Largest number of signature waveforms overlapping this frame at
     # any point in its airtime (TRIGGER frames only).  The trigger
     # detection model degrades with this count (Fig. 9).
@@ -60,11 +77,8 @@ class Reception:
     # derived from it once at delivery — log10 is monotone, so the
     # worst step in mW is the worst step in dB — instead of paying two
     # log10 calls per tracked frame on every energy edge.  Negative
-    # means "never refreshed" and leaves ``min_sinr_db`` at +inf.
+    # means "never refreshed" (min SINR +inf).
     max_interference_mw: float = -1.0
-    # Cached signature count of a TRIGGER frame (targets + ROP polls),
-    # so overlap accounting does not re-walk frame metadata per edge.
-    n_signatures: int = 0
 
 
 class Radio:
@@ -75,15 +89,21 @@ class Radio:
         self.medium = medium
         self.profile: PhyProfile = medium.profile
         self.mac: Optional["Mac"] = None
-        # All energy currently arriving, keyed by transmission uid.
+        # All energy currently arriving, keyed by transmission uid, in
+        # arrival order.
         self._incoming: Dict[int, Reception] = {}
+        # Summed incoming power: the left-to-right fold of
+        # ``_incoming``'s powers in arrival order, kept current at
+        # every energy edge so carrier sense is an O(1) read.
+        self._total = 0.0
+        # Every TRIGGER reception in ``_incoming`` (all of them add
+        # signature interference), and the subset not interrupted — the
+        # only triggers whose tracked values a delivery can still read.
+        self._triggers: Dict[int, Reception] = {}
+        self._live_triggers: Dict[int, Reception] = {}
         self._lock: Optional[Reception] = None
         self._own_tx: Optional[Transmission] = None
         self._cs_busy = False
-        # Number of TRIGGER receptions currently in ``_incoming`` —
-        # lets the SINR refresh skip signature-overlap accounting
-        # entirely for the (common) trigger-free energy edges.
-        self._trigger_count = 0
         self._noise_mw = self.profile.noise_mw()
         self._cs_mw = dbm_to_mw(self.profile.cs_threshold_dbm)
         # Power save (Sec. 5 energy saving): while asleep the radio
@@ -130,13 +150,11 @@ class Radio:
         return self._lock is not None
 
     def total_incoming_mw(self) -> float:
-        return sum(r.rss_mw for r in self._incoming.values())
+        return self._total
 
     def channel_busy(self) -> bool:
         """Carrier-sense verdict right now."""
-        if self._own_tx is not None:
-            return True
-        return self.total_incoming_mw() >= self._cs_mw
+        return self._own_tx is not None or self._total >= self._cs_mw
 
     # ------------------------------------------------------------------
     # Transmit path
@@ -152,6 +170,7 @@ class Radio:
         for rec in self._incoming.values():
             # Anything arriving while we transmit is unhearable.
             rec.interrupted_by_tx = True
+        self._live_triggers.clear()
         tx = self.medium.transmit(self.node_id, frame)
         self._own_tx = tx
         self._update_cs()
@@ -167,40 +186,55 @@ class Radio:
     # Energy events from the medium
     # ------------------------------------------------------------------
     def on_energy_start(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
-        rec = Reception(tx=tx, rss_dbm=rss_dbm, rss_mw=rss_mw)
-        if self._own_tx is not None or self.asleep:
+        rec = Reception(tx, rss_dbm, rss_mw)
+        lost = (self._own_tx is not None
+                or self.medium.sim.now < self._sleep_until)
+        if lost:
             rec.interrupted_by_tx = True
-        frame = tx.frame
-        if frame.kind is FrameKind.TRIGGER:
-            rec.n_signatures = max(
-                1, len(frame.trigger_targets())
-                + len(frame.meta.get("rop_polls", ())))
-            self._trigger_count += 1
-        self._incoming[tx.uid] = rec
-        self._maybe_lock(rec)
-        total = sum(r.rss_mw for r in self._incoming.values())
-        self._refresh_sinrs(total)
-        self._update_cs(total)
+        uid = tx.uid
+        self._incoming[uid] = rec
+        # The new reception is last in arrival order, so adding it
+        # extends the same left-to-right fold by one term.
+        total = self._total = self._total + rss_mw
+        if tx.n_signatures:
+            self._triggers[uid] = rec
+            if not lost:
+                self._live_triggers[uid] = rec
+        elif tx.lockable and not lost:
+            self._maybe_lock(rec)
+        self._refresh(total, tx.n_signatures)
+        self._update_cs()
 
     def on_energy_end(self, tx: Transmission, rss_dbm: float, rss_mw: float) -> None:
-        rec = self._incoming.pop(tx.uid, None)
+        uid = tx.uid
+        rec = self._incoming.pop(uid, None)
         if rec is None:  # registered after our TX started; still tracked
             return
-        if rec.n_signatures:
-            self._trigger_count -= 1
-        total = sum(r.rss_mw for r in self._incoming.values())
-        self._refresh_sinrs(total)
-        self._update_cs(total)
-        self._deliver(rec)
+        # Re-fold the remaining powers in arrival order.  Not builtin
+        # sum(): from Python 3.12 it compensates float rounding, which
+        # would make totals depend on the interpreter version.
+        total = 0.0
+        for other in self._incoming.values():
+            total += other.rss_mw
+        self._total = total
+        if tx.n_signatures:
+            del self._triggers[uid]
+            self._live_triggers.pop(uid, None)
+        # No refresh here: the remaining powers are a subsequence of
+        # those at the last start edge, so neither interference nor
+        # signature overlap can exceed a maximum already recorded.
+        self._update_cs()
+        if rec is self._lock or not tx.lockable:
+            # Anything else is an unlocked frame: never delivered.
+            self._deliver(rec)
 
     # ------------------------------------------------------------------
     # Locking and SINR
     # ------------------------------------------------------------------
     def _maybe_lock(self, rec: Reception) -> None:
-        frame = rec.tx.frame
-        if frame.kind in (FrameKind.TRIGGER, FrameKind.QUEUE_REPORT):
-            return  # correlation path, never locked
-        if rec.interrupted_by_tx or rec.rss_dbm < self.profile.sensitivity_dbm:
+        """Lock attempt for a lockable, not-lost frame at its start edge
+        (the only moment a reception can become the lock)."""
+        if rec.rss_dbm < self.profile.sensitivity_dbm:
             return
         if self._lock is None:
             self._lock = rec
@@ -215,60 +249,56 @@ class Radio:
             self._lock.interrupted_by_tx = True  # old frame is lost
             self._lock = rec
 
-    def _refresh_sinrs(self, total: Optional[float] = None) -> None:
-        """Update the running worst-case interference of every tracked
-        frame (``total`` is the pre-summed incoming power, recomputed
-        here when the caller has none at hand).
+    def _refresh(self, total: float, new_signatures: int) -> None:
+        """Fold this start edge into the running maxima of the
+        receptions a delivery can still read: the lock and the live
+        triggers.
 
-        Only the interference *power* is tracked per edge; the dB-space
-        minimum SINR is finalised once at delivery.  log10 is strictly
-        monotone, so the step with the largest interference is exactly
-        the step with the smallest SINR — same result, two log10 calls
-        per frame instead of two per frame per energy edge.
+        No other reception's tracked values are ever read — a frame
+        becomes the lock only at its own start edge, an interrupted
+        frame stays interrupted, QUEUE_REPORT delivery reads no SINR,
+        and an unlocked frame is never delivered.  Signature overlap
+        can only grow when a TRIGGER arrives (``new_signatures``).
         """
-        incoming = self._incoming
-        if not incoming:
+        lock = self._lock
+        if lock is not None:
+            interference = total - lock.rss_mw
+            if interference > lock.max_interference_mw:
+                lock.max_interference_mw = interference
+        live = self._live_triggers
+        if not live:
             return
-        if total is None:
-            total = sum(r.rss_mw for r in incoming.values())
-        recs = incoming.values()
-        if not self._trigger_count:
-            for rec in recs:
-                interference = total - rec.rss_mw
-                if interference > rec.max_interference_mw:
-                    rec.max_interference_mw = interference
-            return
-        trigger_recs = [r for r in recs if r.n_signatures]
-        for rec in recs:
+        for rec in live.values():
             interference = total - rec.rss_mw
             if interference > rec.max_interference_mw:
                 rec.max_interference_mw = interference
-            if rec.n_signatures:
-                # Signatures that matter to the correlator are those of
-                # comparable power: bursts more than 10 dB below this
-                # one are negligible interference (Fig. 9's combining
-                # limit is about same-order waveforms).
-                floor_mw = rec.rss_mw / 10.0
-                signatures = 0
-                for other in trigger_recs:
-                    if other.rss_mw >= floor_mw:
-                        signatures += other.n_signatures
-                if signatures > rec.max_overlapping_signatures:
-                    rec.max_overlapping_signatures = signatures
+        if not new_signatures:
+            return
+        triggers = self._triggers.values()
+        for rec in live.values():
+            # Signatures that matter to the correlator are those of
+            # comparable power: bursts more than 10 dB below this
+            # one are negligible interference (Fig. 9's combining
+            # limit is about same-order waveforms).  Interrupted
+            # triggers still interfere, so all of them are counted.
+            floor_mw = rec.rss_mw / 10.0
+            signatures = 0
+            for other in triggers:
+                if other.rss_mw >= floor_mw:
+                    signatures += other.tx.n_signatures
+            if signatures > rec.max_overlapping_signatures:
+                rec.max_overlapping_signatures = signatures
 
     def _deliver(self, rec: Reception) -> None:
         if self.mac is None:
             return
-        if rec.max_interference_mw >= 0.0:
-            # Finalise the minimum SINR from the tracked worst-case
-            # interference (see _refresh_sinrs).
-            rec.min_sinr_db = mw_to_dbm(rec.rss_mw) - mw_to_dbm(
-                rec.max_interference_mw + self._noise_mw)
         frame = rec.tx.frame
         if frame.kind is FrameKind.TRIGGER:
             if not rec.interrupted_by_tx:
-                self.mac.on_trigger(frame, rec.min_sinr_db, rec.rss_dbm,
-                                    rec.max_overlapping_signatures)
+                self.mac.on_trigger(
+                    frame, min_sinr_db(rec.rss_mw, rec.max_interference_mw,
+                                       self._noise_mw),
+                    rec.rss_dbm, rec.max_overlapping_signatures)
             return
         if frame.kind is FrameKind.QUEUE_REPORT:
             if not rec.interrupted_by_tx:
@@ -277,7 +307,8 @@ class Radio:
         if self._lock is not None and self._lock.tx.uid == rec.tx.uid:
             self._lock = None
             threshold = self.profile.frame_sinr_threshold_db(frame)
-            ok = (not rec.interrupted_by_tx) and rec.min_sinr_db >= threshold
+            ok = (not rec.interrupted_by_tx) and min_sinr_db(
+                rec.rss_mw, rec.max_interference_mw, self._noise_mw) >= threshold
             tel = self._trace
             if tel.enabled:
                 now = self.medium.sim.now
@@ -298,13 +329,8 @@ class Radio:
     # ------------------------------------------------------------------
     # Carrier sense edge detection
     # ------------------------------------------------------------------
-    def _update_cs(self, total: Optional[float] = None) -> None:
-        if self._own_tx is not None:
-            busy = True
-        else:
-            if total is None:
-                total = sum(r.rss_mw for r in self._incoming.values())
-            busy = total >= self._cs_mw
+    def _update_cs(self) -> None:
+        busy = self._own_tx is not None or self._total >= self._cs_mw
         if busy == self._cs_busy:
             return
         self._cs_busy = busy
